@@ -17,8 +17,8 @@
 //! * **at most one** retained snapshot may ever be recovered (the replay takes
 //!   exactly one);
 //! * a recovered snapshot's walk must not be truncated — its whole frozen path
-//!   must be in the image (this is what the pre-publish fence in
-//!   `Hamt::publish` buys: a root can only become visible, and hence
+//!   must be in the image (this is what the leading fence of the root p-CAS
+//!   that publishes a trie buys: a root can only become visible, and hence
 //!   retainable, after its path is durable);
 //! * a recovered snapshot's pairs must equal **exactly** the model state after
 //!   `snap_at` operations;

@@ -246,6 +246,16 @@ pub fn child_main_hamt(
             return Err("kill rounds require a unix platform".into());
         }
     }
+    // Drain, then publish the full floor *before* releasing the snapshot: a
+    // batched floor lags the workload, and the verifier only forgives a
+    // released snapshot once the floor reaches `ops` (the release window).
+    let _ = h.flush_async();
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        side.write_at(&ops.to_le_bytes(), 0)
+            .map_err(|e| format!("child: sidecar write: {e}"))?;
+    }
     drop(snapshot);
     Ok(())
 }

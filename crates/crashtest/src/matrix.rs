@@ -206,14 +206,15 @@ pub fn run_case(
 }
 
 /// The HAMT carries its own durability discipline — MOD copy-on-write with a
-/// single flushed CAS on the recovery root — instead of FliT's per-word
-/// methods, so the traversal-phase method axis does not apply to it. Only
-/// `automatic` (the real structure) and `volatile-broken` (the
-/// skip-the-root-flush control, [`flit_hamt::BrokenHamt`], which *must* fail)
-/// are swept; `nvtraverse` and `manual` return `None` like an unsupported
-/// policy combination. The policy axis still selects the backend the handles
-/// run on: the HAMT never touches a `FlitAtomic`, so a clean sweep under every
-/// policy demonstrates exactly that policy-independence.
+/// single p-CAS on the recovery root — instead of FliT's per-word methods, so
+/// the traversal-phase method axis does not apply to it. Only `automatic` (the
+/// real structure) and `volatile-broken` (the skip-the-root-flush control,
+/// [`flit_hamt::BrokenHamt`], which *must* fail) are swept; `nvtraverse` and
+/// `manual` return `None` like an unsupported policy combination. The policy
+/// axis selects the backend the handles run on and the root word's tagging:
+/// the root is a `P::Word`, so each policy's own help-flush protocol decides
+/// when a read must flush it, and a clean sweep under every policy checks
+/// each of them at MOD's publish point.
 fn run_hamt_case(
     case: CaseMeta,
     method: MethodKind,

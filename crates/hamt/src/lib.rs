@@ -5,30 +5,30 @@
 //! ## Two persistence disciplines
 //!
 //! Every other structure in this workspace persists **in place**: each shared
-//! word is a `FlitAtomic` whose tagging counter tells racing readers when a
-//! store is still in flight so they can help flush it (the FliT protocol). That
-//! buys in-place CAS designs durable linearizability at the cost of a flush +
-//! fence discipline on *every* shared word.
+//! word is a policy word whose tag tells racing readers when a store is still
+//! in flight so they can help flush it (the FliT protocol). That buys in-place
+//! CAS designs durable linearizability at the cost of a flush + fence
+//! discipline on *every* shared word.
 //!
 //! The HAMT inverts the deal. Interior nodes are **immutable once published**:
 //! an update builds its whole new path *off to the side* in fresh arena slots,
 //! writes the nodes with plain stores, issues `pwb`s for their cache lines
-//! (no fence per node), then issues **one** fence and publishes the new trie
-//! with a single CAS on the durable **root cell**. Unreachable-until-published
-//! nodes need no helping and no tagging, so the crate works against a plain
-//! [`FlitHandle`] backend — no `FlitAtomic` anywhere — and the fence count per
-//! update is **O(1) in the path length**: one pre-publish fence plus the
-//! operation-completion fence, regardless of how deep the trie is. (The `pwb`
-//! count still grows with depth — copying is not free — but `pwb`s are
-//! asynchronous; fences are the serialising cost the paper's model charges
-//! for.)
+//! (no fence per node), then publishes the new trie with a single p-CAS on the
+//! durable **root cell**. Unreachable-until-published nodes need no helping
+//! and no tagging, so the root is the crate's **only** policy word, and the
+//! fence count per update is **O(1) in the path length**: the p-CAS's leading
+//! fence (the pre-publish fence) plus its trailing fence, regardless of how
+//! deep the trie is. (The `pwb` count still grows with depth — copying is not
+//! free — but `pwb`s are asynchronous; fences are the serialising cost the
+//! paper's model charges for.)
 //!
-//! The single mutable persistent word is the root cell. Its durability follows
-//! the FliT *spirit* in miniature: the publisher flushes it after the CAS and
-//! fences at operation completion, and every operation (readers included)
-//! help-flushes the root value it observed via
-//! [`pwb_dedup`](flit_pmem::PmemBackend::pwb_dedup), so an operation that
-//! observed a fresh root cannot acknowledge before that root is durable.
+//! The root cell is a `P::Word<u64>`, so its durability is FliT's own
+//! protocol applied at MOD's single publish point: the publisher tags the
+//! root, CASes, flushes, fences and untags; a reader flushes the root only
+//! while it is tagged, and its completion fence covers that flush. An
+//! untagged root is durable, so a `get` on it costs no `pwb` and no fence
+//! (under the plain policy every root read flushes, as in the paper's
+//! baseline).
 //!
 //! ## Layout
 //!
@@ -74,13 +74,13 @@
 //!
 //! ## Why the pre-publish fence exists
 //!
-//! The fence between the path `pwb`s and the publishing CAS is what makes the
-//! root cell's value self-certifying across threads: any root another thread
-//! can observe points at a fully-durable path. Without it, a concurrent
-//! snapshotter could durably retain a root whose nodes were still pending in
-//! the *publisher's* persist epoch, and a crash would recover a retained
-//! snapshot pointing into nothing. Two fences per update, O(1) in depth,
-//! both elision-aware.
+//! The root p-CAS's leading fence, between the path `pwb`s and the CAS, is
+//! what makes the root cell's value self-certifying across threads: any root
+//! another thread can observe points at a fully-durable path. Without it, a
+//! concurrent snapshotter could durably retain a root whose nodes were still
+//! pending in the *publisher's* persist epoch, and a crash would recover a
+//! retained snapshot pointing into nothing. Two fences per update, O(1) in
+//! depth, both elision-aware.
 //!
 //! ## Recovery
 //!
@@ -88,27 +88,28 @@
 //! [`roots::HAMT_ROOT`] cell → persisted root word → node walk entirely through
 //! the [`CrashImage`]. A reachable word missing from the image flags
 //! `truncated` — the persist-before-publish argument is *checked*, not
-//! assumed. The broken control ([`BrokenHamt`]) skips only the root-cell `pwb`
-//! after the CAS: every path node is still persisted, but the root never
-//! becomes durable, so the structure recovers to its construction-time
-//! (empty) state and the crash sweep must flag every acknowledged update as
-//! lost.
+//! assumed. The broken control ([`BrokenHamt`]) publishes with an untagged
+//! v-CAS and never flushes the root: every path node is still persisted, but
+//! the root never becomes durable, so the structure recovers to its
+//! construction-time (empty) state and the crash sweep must flag every
+//! acknowledged update as lost.
 //!
 //! ## Scope
 //!
 //! The retained-root table holds at most [`RETAINED_CAPACITY`] live snapshots.
 //! Under `CommitMode::Batched` the pre-publish fence still runs eagerly (it
-//! orders publication, not acknowledgment); only the completion fence is
-//! batched.
+//! orders publication, not acknowledgment); the p-CAS's trailing fence and
+//! untag move to the handle's next fence point, and until then readers keep
+//! help-flushing the tagged root.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::ops::RangeBounds;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use flit::{FlitDb, FlitHandle, PFlag, Policy};
+use flit::{FlitDb, FlitHandle, PFlag, PersistWord, Policy};
 use flit_alloc::{roots, Arena, ArenaConfig, HAMT_NODE_SLOT_BYTES};
 use flit_datastructs::{ConcurrentMap, MapCrashRecovery, RecoverInImage, RecoveredMap};
 use flit_ebr::Guard;
@@ -212,18 +213,19 @@ struct SnapState {
 pub struct Hamt<P: Policy> {
     arena: Arc<Arena>,
     db: FlitDb<P>,
-    /// Address of the root cell: one slot whose first word is the entry
-    /// encoding of the current trie (0 = empty), registered under
-    /// [`roots::HAMT_ROOT`].
+    /// Address of the root cell: a `P::Word<u64>` in its own arena slot
+    /// holding the entry encoding of the current trie (0 = empty), registered
+    /// under [`roots::HAMT_ROOT`] at its [`PersistWord::addr`].
     root_cell: usize,
     /// Address of the retained-root table block, registered under
     /// [`roots::HAMT_RETAINED`].
     retained: usize,
     len: AtomicUsize,
     snaps: Mutex<SnapState>,
-    /// `false` only in the crash-sweep broken control ([`BrokenHamt`]): skip
-    /// the root-cell `pwb` after the publishing CAS.
-    flush_root: bool,
+    /// Flag of every root access: [`PFlag::Volatile`] only in the crash-sweep
+    /// broken control ([`BrokenHamt`]), whose publishing CAS then neither
+    /// tags nor flushes the root and whose reads never help-flush it.
+    root_flag: PFlag,
 }
 
 impl<P: Policy> Hamt<P> {
@@ -238,10 +240,10 @@ impl<P: Policy> Hamt<P> {
     /// copy-on-write churns through roughly `depth + 1` slots per update, so
     /// the capacity-derived [`ArenaConfig::hamt_nodes`] floor also applies.
     pub fn with_config(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig) -> Self {
-        Self::build(db, capacity_hint, config, true)
+        Self::build(db, capacity_hint, config, PFlag::Persisted)
     }
 
-    fn build(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig, flush_root: bool) -> Self {
+    fn build(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig, root_flag: PFlag) -> Self {
         let chunk_slots = config
             .slots_per_chunk
             .max(ArenaConfig::hamt_nodes(capacity_hint).slots_per_chunk)
@@ -254,22 +256,25 @@ impl<P: Policy> Hamt<P> {
         // the empty trie (absent root) or the empty trie (persisted zero).
         let h = db.handle();
         let pm = h.pmem();
-        let cell = arena.alloc(&pm) as *mut u64;
-        write_word(&pm, cell, 0, 0);
+        // SAFETY: a freshly allocated slot owned by this structure for its
+        // whole lifetime.
+        let cell = unsafe { &*arena.alloc_init(&pm, P::Word::<u64>::new(0)) };
+        // Record the initial zero with the crash tracker; persisted below.
+        cell.store_private(&h, 0, PFlag::Volatile);
         let table = arena.alloc_block(&pm, RETAINED_BYTES) as *mut u64;
         for i in 0..RETAINED_CAPACITY * RETAINED_ENTRY_WORDS {
             write_word(&pm, table, i, 0);
         }
-        h.persist_range(cell as *const u8, WORD_SIZE, PFlag::Persisted);
+        h.persist_range(cell.addr() as *const u8, WORD_SIZE, PFlag::Persisted);
         h.persist_range(table as *const u8, RETAINED_BYTES, PFlag::Persisted);
-        arena.register_root(&pm, roots::HAMT_ROOT, cell as usize);
+        arena.register_root(&pm, roots::HAMT_ROOT, cell.addr());
         arena.register_root(&pm, roots::HAMT_RETAINED, table as usize);
         drop(h);
 
         Self {
             arena,
             db: db.clone(),
-            root_cell: cell as usize,
+            root_cell: cell as *const P::Word<u64> as usize,
             retained: table as usize,
             len: AtomicUsize::new(0),
             snaps: Mutex::new(SnapState {
@@ -277,7 +282,7 @@ impl<P: Policy> Hamt<P> {
                 backlog: Vec::new(),
                 next_version: 1,
             }),
-            flush_root,
+            root_flag,
         }
     }
 
@@ -286,26 +291,23 @@ impl<P: Policy> Hamt<P> {
         &self.arena
     }
 
-    /// Address of the root cell (diagnostics / observability).
+    /// Address of the root word (diagnostics / observability).
     pub fn root_cell_addr(&self) -> usize {
-        self.root_cell
+        self.root().addr()
     }
 
     #[inline]
-    fn root_ptr(&self) -> &AtomicU64 {
-        // SAFETY: the root cell is a live, word-aligned arena slot owned by
-        // this structure for its whole lifetime.
-        unsafe { &*(self.root_cell as *const AtomicU64) }
+    fn root(&self) -> &P::Word<u64> {
+        // SAFETY: the root cell is a live arena slot initialised in `build`
+        // and owned by this structure for its whole lifetime.
+        unsafe { &*(self.root_cell as *const P::Word<u64>) }
     }
 
-    /// Read-side help: flush the observed root value so an operation that
-    /// saw a fresh root cannot acknowledge before it is durable. The broken
-    /// control skips this too — it must not repair its own skipped flush.
+    /// Read the root: a p-load flushes it only while a publish is in flight
+    /// (the word is tagged).
     #[inline]
-    fn help_flush_root<B: PmemBackend>(&self, pm: &B, root: u64) {
-        if self.flush_root {
-            pm.pwb_dedup(self.root_cell as *const u8, root);
-        }
+    fn load_root(&self, h: &FlitHandle<'_, P>) -> u64 {
+        self.root().load(h, self.root_flag)
     }
 
     /// Look up `key` in the trie rooted at `enc` (volatile walk over
@@ -328,14 +330,12 @@ impl<P: Policy> Hamt<P> {
         None
     }
 
-    /// Read `key`'s value, help-flushing the observed root (see the crate
-    /// docs on the root cell's durability).
+    /// Read `key`'s value. Costs no `pwb` and no fence unless a publish is
+    /// in flight, in which case the root is help-flushed and fenced at
+    /// completion (see the crate docs on the root cell's durability).
     pub fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
         let _guard = h.pin();
-        let pm = h.pmem();
-        let root = self.root_ptr().load(Ordering::Acquire);
-        self.help_flush_root(&pm, root);
-        let res = Self::lookup(root, mix_key(key), key);
+        let res = Self::lookup(self.load_root(h), mix_key(key), key);
         h.operation_completion();
         res
     }
@@ -578,23 +578,14 @@ impl<P: Policy> Hamt<P> {
         }
     }
 
-    /// Publish `new_root`: a single pre-publish fence for the whole path, the
-    /// CAS, then the root-cell flush (skipped by the broken control). Returns
+    /// Publish `new_root` with a p-CAS on the root word: its leading fence is
+    /// the single pre-publish fence for the whole path, and its trailing
+    /// fence makes the root durable before the word is untagged. Returns
     /// `false` when the CAS lost and the caller must rebuild.
-    fn publish<B: PmemBackend>(&self, pm: &B, expected: u64, new_root: u64) -> bool {
-        pm.pfence_if_dirty();
-        if self
-            .root_ptr()
-            .compare_exchange(expected, new_root, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
-        pm.record_store(self.root_cell as *const u8, new_root);
-        if self.flush_root {
-            pm.pwb(self.root_cell as *const u8);
-        }
-        true
+    fn publish(&self, h: &FlitHandle<'_, P>, expected: u64, new_root: u64) -> bool {
+        self.root()
+            .compare_exchange(h, expected, new_root, self.root_flag)
+            .is_ok()
     }
 
     /// Insert `(key, value)`; returns `false` (and stores nothing) when the
@@ -604,8 +595,7 @@ impl<P: Policy> Hamt<P> {
         let pm = h.pmem();
         let hash = mix_key(key);
         loop {
-            let root = self.root_ptr().load(Ordering::Acquire);
-            self.help_flush_root(&pm, root);
+            let root = self.load_root(h);
             let mut new_nodes = Vec::new();
             let mut old_nodes = Vec::new();
             let Some(new_root) = self.cow_insert(
@@ -621,7 +611,7 @@ impl<P: Policy> Hamt<P> {
                 h.operation_completion();
                 return false;
             };
-            if self.publish(&pm, root, new_root) {
+            if self.publish(h, root, new_root) {
                 self.retire(&guard, &old_nodes);
                 self.len.fetch_add(1, Ordering::Relaxed);
                 h.operation_completion();
@@ -641,8 +631,7 @@ impl<P: Policy> Hamt<P> {
         let pm = h.pmem();
         let hash = mix_key(key);
         loop {
-            let root = self.root_ptr().load(Ordering::Acquire);
-            self.help_flush_root(&pm, root);
+            let root = self.load_root(h);
             let mut new_nodes = Vec::new();
             let mut old_nodes = Vec::new();
             let Some(new_root) =
@@ -651,7 +640,7 @@ impl<P: Policy> Hamt<P> {
                 h.operation_completion();
                 return false;
             };
-            if self.publish(&pm, root, new_root) {
+            if self.publish(h, root, new_root) {
                 self.retire(&guard, &old_nodes);
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 h.operation_completion();
@@ -688,8 +677,7 @@ impl<P: Policy> Hamt<P> {
     pub fn snapshot<'t>(&'t self, h: &FlitHandle<'_, P>) -> Snapshot<'t, P> {
         let pm = h.pmem();
         let mut st = self.snaps.lock();
-        let root = self.root_ptr().load(Ordering::Acquire);
-        self.help_flush_root(&pm, root);
+        let root = self.load_root(h);
         let slot = (0..RETAINED_CAPACITY)
             .find(|&i| read_word(self.retained_entry(i) + WORD_SIZE) == 0)
             .expect("retained-root table full: release a snapshot before taking another");
@@ -1033,8 +1021,9 @@ impl<P: Policy> RecoverInImage for Hamt<P> {
     }
 }
 
-/// The crash-sweep **broken control**: a [`Hamt`] that skips only the
-/// root-cell `pwb` after the publishing CAS. Every node of every path is still
+/// The crash-sweep **broken control**: a [`Hamt`] whose root accesses are
+/// v-instructions, so it publishes with an untagged CAS that never flushes the
+/// root and its reads never help-flush it. Every node of every path is still
 /// persisted, but the root word never becomes durable, so the structure always
 /// recovers to its construction-time (empty) state and the sweep must flag
 /// every acknowledged update as lost.
@@ -1055,7 +1044,7 @@ impl<P: Policy> ConcurrentMap<P> for BrokenHamt<P> {
     }
 
     fn with_capacity_cfg(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig) -> Self {
-        BrokenHamt(Hamt::build(db, capacity_hint, config, false))
+        BrokenHamt(Hamt::build(db, capacity_hint, config, PFlag::Volatile))
     }
 
     fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
@@ -1166,7 +1155,7 @@ mod tests {
             assert_eq!(t.get(&h, k), None);
         }
         assert!(t.is_empty());
-        assert_eq!(t.root_ptr().load(Ordering::Relaxed), 0);
+        assert_eq!(t.root().load_direct(), 0);
     }
 
     #[test]
@@ -1289,6 +1278,69 @@ mod tests {
         drop(h2);
         let image2 = sim.tracker().unwrap().crash_image();
         assert!(Hamt::<P>::recover_snapshots_in_image(t.arena(), &image2).is_empty());
+    }
+
+    /// `(pwbs, pfences)` the backend counted while `f` ran.
+    fn cost<Q: Policy>(db: &FlitDb<Q>, f: impl FnOnce()) -> (u64, u64) {
+        let before = db.stats_snapshot().unwrap();
+        f();
+        let d = db.stats_snapshot().unwrap().delta_since(&before);
+        (d.pwbs, d.pfences)
+    }
+
+    #[test]
+    fn untagged_root_reads_and_no_op_updates_cost_nothing() {
+        let db = db();
+        let h = db.handle();
+        let t = db.hamt(256);
+        for k in 0..100u64 {
+            assert!(t.insert(&h, k, k + 1));
+        }
+        assert_eq!(cost(&db, || assert_eq!(t.get(&h, 7), Some(8))), (0, 0));
+        assert_eq!(cost(&db, || assert_eq!(t.get(&h, 500), None)), (0, 0));
+        assert_eq!(cost(&db, || assert!(!t.insert(&h, 7, 0))), (0, 0));
+        assert_eq!(cost(&db, || assert!(!t.remove(&h, 500))), (0, 0));
+        // A successful update on a clean handle: the p-CAS's leading fence
+        // (the pre-publish fence) and its trailing fence; the completion
+        // fence finds the handle clean.
+        let (pwbs, pfences) = cost(&db, || assert!(t.insert(&h, 500, 1)));
+        assert!(pwbs >= 2, "path plus root write-backs, got {pwbs}");
+        assert_eq!(pfences, 2);
+        assert_eq!(cost(&db, || assert!(t.remove(&h, 500))).1, 2);
+    }
+
+    #[test]
+    fn plain_policy_get_keeps_the_literal_flush_and_fence() {
+        let db = FlitDb::plain(backend());
+        let h = db.handle();
+        let t = db.hamt(64);
+        for k in 0..20u64 {
+            t.insert(&h, k, k);
+        }
+        assert_eq!(cost(&db, || assert_eq!(t.get(&h, 3), Some(3))), (1, 1));
+    }
+
+    #[test]
+    fn a_tagged_root_is_help_flushed_until_the_publisher_drains() {
+        let db = FlitDb::builder(flit::presets::flit_ht(backend()))
+            .commit_mode(flit::CommitMode::Batched(8))
+            .build();
+        let t = db.hamt(64);
+        let (a, b) = (db.handle(), db.handle());
+        for k in 0..20u64 {
+            t.insert(&a, k, k);
+        }
+        let _ = a.flush_async();
+        // A's publish defers its trailing fence, so the root stays tagged:
+        // B's read flushes it, and B's drain fences that flush.
+        assert!(t.insert(&a, 100, 7));
+        let read_and_drain = || {
+            assert_eq!(t.get(&b, 100), Some(7));
+            let _ = b.flush_async();
+        };
+        assert_eq!(cost(&db, read_and_drain), (1, 1));
+        let _ = a.flush_async();
+        assert_eq!(cost(&db, read_and_drain), (0, 0));
     }
 
     #[test]

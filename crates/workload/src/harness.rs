@@ -266,11 +266,11 @@ pub fn run_case_observed(case: &Case, observe: Option<&LatencyObserver<'_>>) -> 
 /// (`flit-hamt`).
 ///
 /// The HAMT brings its own durability discipline — persist the new path
-/// bottom-up, publish with one flushed CAS (the MOD recipe) — so there is no
-/// durability-method axis to sweep: the structure *is* its method. The policy
-/// axis still applies (the P-V interface underneath is interchangeable), which
-/// is exactly what makes the flat-fence-cost comparison against the in-place
-/// structures meaningful.
+/// bottom-up, publish with one p-CAS on the root (the MOD recipe) — so there
+/// is no durability-method axis to sweep: the structure *is* its method. The
+/// policy axis still applies (it picks the root word's tagging, and the P-V
+/// interface underneath is interchangeable), which is exactly what makes the
+/// flat-fence-cost comparison against the in-place structures meaningful.
 #[derive(Debug, Clone)]
 pub struct HamtCase {
     /// Persistence policy variant.
@@ -312,7 +312,7 @@ fn run_hamt_with_policy<P: Policy>(
 
 /// Build the HAMT described by `case`, prefill it, run the workload and return
 /// the measurement. Every policy variant applies (the trie's interior is plain
-/// `FlitHandle` traffic, word-aligned CAS only).
+/// `FlitHandle` traffic; its root is a policy word).
 pub fn run_hamt_case(case: &HamtCase) -> RunResult {
     run_hamt_case_observed(case, None)
 }

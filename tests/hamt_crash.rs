@@ -1,18 +1,20 @@
 //! HAMT crash-consistency (`flit-hamt` × `flit-crashtest`):
 //!
-//! 1. **Every-event sweeps** in both elision modes are clean — the MOD
-//!    copy-on-write discipline (pwbs only along the new path, one pre-publish
-//!    fence, one flushed CAS on the recovery root) is durably linearizable at
-//!    every persistence event, construction window included;
+//! 1. **Every-event sweeps** are clean under every policy, both elision
+//!    modes and both commit modes — the MOD copy-on-write discipline (pwbs
+//!    only along the new path, one pre-publish fence, one p-CAS on the
+//!    recovery root, tagged under the policy's scheme) is durably
+//!    linearizable at every persistence event, construction window included;
 //! 2. **Construction-window crashes recover to empty** — an image frozen
 //!    before the root cell became durable must yield the empty trie;
 //! 3. **Snapshot consistency** — a snapshot taken mid-history and held across
 //!    the crash replays to *exactly* its frozen contents from the persisted
 //!    retained-root table, at every crash point past its completion fence;
-//! 4. **The broken control fails** — `BrokenHamt` skips the post-CAS root
-//!    flush (and the read-side help-flush), so its sweeps must report lost
-//!    operations with complete repro strings. A control that passes means the
-//!    harness can no longer see the one flush MOD's correctness hinges on.
+//! 4. **The broken control fails** — `BrokenHamt` publishes with a raw,
+//!    untagged CAS and never flushes the root (its reads are raw too), so its
+//!    sweeps must report lost operations with complete repro strings under
+//!    every policy. A control that passes means the harness can no longer see
+//!    the one flush MOD's correctness hinges on.
 
 use flit::CommitMode;
 use flit_crashtest::{
@@ -37,6 +39,9 @@ const RANDOM_SPEC: HistorySpec = HistorySpec::Random {
     key_range: 6,
 };
 
+const ELISIONS: [ElisionMode; 2] = [ElisionMode::Enabled, ElisionMode::Disabled];
+const COMMITS: [CommitMode; 2] = [CommitMode::Immediate, CommitMode::Batched(4)];
+
 fn exhaustive(elision: ElisionMode) -> SweepSettings {
     SweepSettings {
         budget: 0,
@@ -47,18 +52,22 @@ fn exhaustive(elision: ElisionMode) -> SweepSettings {
 
 #[test]
 fn every_event_sweep_is_clean_in_both_elision_modes() {
-    for elision in [ElisionMode::Enabled, ElisionMode::Disabled] {
-        for (policy, spec) in [
-            (PolicyKind::Plain, SPEC),
-            (PolicyKind::FlitHt, SPEC),
-            (PolicyKind::FlitHt, RANDOM_SPEC),
-        ] {
+    let cases = PolicyKind::ALL
+        .into_iter()
+        .map(|policy| (policy, SPEC))
+        .chain([(PolicyKind::FlitHt, RANDOM_SPEC)]);
+    for (policy, spec) in cases {
+        for (elision, commit) in ELISIONS.into_iter().flat_map(|e| COMMITS.map(|c| (e, c))) {
+            let settings = SweepSettings {
+                commit,
+                ..exhaustive(elision)
+            };
             let report = run_case(
                 StructureKind::Hamt,
                 MethodKind::Automatic,
                 policy,
                 spec,
-                &exhaustive(elision),
+                &settings,
             )
             .expect("the HAMT supports every policy");
             assert!(
@@ -234,11 +243,14 @@ fn killtest_harness_verifies_hamt_pools_in_process() {
 /// vanish — with a complete repro string naming the hamt case.
 #[test]
 fn skipping_the_root_flush_is_caught_with_a_repro_string() {
-    for elision in [ElisionMode::Enabled, ElisionMode::Disabled] {
+    for (policy, elision) in PolicyKind::ALL
+        .into_iter()
+        .flat_map(|p| ELISIONS.map(|e| (p, e)))
+    {
         let report = run_case(
             StructureKind::Hamt,
             MethodKind::VolatileBroken,
-            PolicyKind::FlitHt,
+            policy,
             SPEC,
             &exhaustive(elision),
         )
